@@ -337,7 +337,7 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
 
 void Engine::EncodeCheckpointSections(
     CheckpointWriter* writer, const Vocabulary* vocab,
-    std::vector<std::pair<std::string, std::string>> extra) const {
+    std::vector<std::pair<std::string, std::string>> extra) {
   std::string meta;
   PutKeyValues(&meta, IdentityKeys());
   PutKeyValues(&meta, InformationalKeys());
@@ -375,12 +375,18 @@ void Engine::EncodeCheckpointSections(
   executor_.SerializeClock(&clock);
   writer->AddSection("clock", std::move(clock));
 
+  // The two large sections reserve their previous size (plus slack), so
+  // capture neither regrows them nor first-touches their pages twice.
   std::string windows;
+  windows.reserve(windows_bytes_hint_ + windows_bytes_hint_ / 8);
   executor_.window_store()->SerializeState(&windows);
+  windows_bytes_hint_ = windows.size();
   writer->AddSection("windows", std::move(windows));
 
   std::string ops;
+  ops.reserve(ops_bytes_hint_ + ops_bytes_hint_ / 8);
   executor_.SerializeOps(&ops);
+  ops_bytes_hint_ = ops.size();
   writer->AddSection("ops", std::move(ops));
 
   std::string engine;
@@ -402,20 +408,20 @@ Status Engine::Checkpoint(
   // surfaces here, before the new snapshot replaces its bytes.
   SGQ_RETURN_NOT_OK(WaitForCheckpoint());
 
-  // Serialization is the synchronous part — the only stall the ingest
-  // loop observes (checkpoint_write_ns). The durable write (temp file +
-  // fsync + atomic rename) runs on the background thread.
+  // Section capture is the synchronous part — the only stall the ingest
+  // loop observes (checkpoint_write_ns). The writer then owns every
+  // payload: framing, CRCs and the durable write (temp file + fsync +
+  // atomic rename) run on the background thread.
   Stopwatch timer;
   CheckpointWriter writer;
   EncodeCheckpointSections(&writer, vocab, std::move(extra));
-  std::string image = writer.Encode();
   checkpoint_write_ns_ +=
       static_cast<std::uint64_t>(timer.ElapsedSeconds() * 1e9);
-  checkpoint_bytes_ += image.size();
+  checkpoint_bytes_ += writer.EncodedSize();
 
   checkpoint_writer_ =
-      std::thread([this, path, image = std::move(image)]() {
-        checkpoint_write_status_ = WriteFileDurable(path, image);
+      std::thread([this, path, writer = std::move(writer)]() {
+        checkpoint_write_status_ = writer.WriteFile(path);
       });
   return Status::OK();
 }

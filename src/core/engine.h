@@ -239,14 +239,17 @@ class Engine {
   /// keep the snapshot-equivalent + deterministic contract.
   /// @{
 
-  /// \brief Writes a complete SGQC snapshot to `path`. State serialization
-  /// runs synchronously (the measured ingest stall, checkpoint_write_ns);
-  /// the durable file write (temp + fsync + atomic rename) happens on a
-  /// background thread, joined by the next Checkpoint()/WaitForCheckpoint()
-  /// or the destructor. `vocab` (when given) is captured for restore-time
-  /// verification; `extra` sections are stored verbatim (the CLI uses one
-  /// for its reorder-buffer stage). Section names starting with "x-" are
-  /// reserved for extras.
+  /// \brief Writes a complete SGQC snapshot to `path`. Only section
+  /// capture — serializing the vocabulary, clock, window partitions,
+  /// operator and sink state into owned payload strings — runs
+  /// synchronously (the measured ingest stall, checkpoint_write_ns). The
+  /// payloads then move to a background thread, which frames them,
+  /// computes the section and file CRCs, and does the durable write (temp
+  /// file + fsync + atomic rename); the next Checkpoint()/
+  /// WaitForCheckpoint() or the destructor joins it. `vocab` (when given)
+  /// is captured for restore-time verification; `extra` sections are
+  /// stored verbatim (the CLI uses one for its reorder-buffer stage).
+  /// Section names starting with "x-" are reserved for extras.
   Status Checkpoint(const std::string& path,
                     const Vocabulary* vocab = nullptr,
                     std::vector<std::pair<std::string, std::string>> extra =
@@ -275,8 +278,8 @@ class Engine {
     return restored_ingested_ + executor_.edges_pushed();
   }
 
-  /// \brief Cumulative synchronous checkpoint stall (state serialization,
-  /// nanoseconds) and total checkpoint bytes encoded.
+  /// \brief Cumulative synchronous checkpoint stall (section capture,
+  /// nanoseconds) and total bytes of the checkpoint files written.
   std::uint64_t checkpoint_write_ns() const { return checkpoint_write_ns_; }
   std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
   /// @}
@@ -421,11 +424,11 @@ class Engine {
   /// must be at least the running slide granularity (fixed at Finalize).
   Status CheckLiveAttachable(const LogicalOp& plan) const;
 
-  /// \brief Assembles the SGQC section set (shared by Checkpoint and the
-  /// in-memory tests).
+  /// \brief Captures the SGQC section set into `writer` (Checkpoint's
+  /// synchronous step).
   void EncodeCheckpointSections(
       CheckpointWriter* writer, const Vocabulary* vocab,
-      std::vector<std::pair<std::string, std::string>> extra) const;
+      std::vector<std::pair<std::string, std::string>> extra);
 
   /// \brief Restore body over a parsed reader (validation + adoption).
   Status RestoreFrom(const CheckpointReader& reader, Vocabulary* vocab,
@@ -474,6 +477,9 @@ class Engine {
   std::uint64_t restored_ingested_ = 0;
   std::uint64_t checkpoint_write_ns_ = 0;
   std::uint64_t checkpoint_bytes_ = 0;
+  /// Sizes of the previous snapshot's "windows" and "ops" payloads.
+  std::size_t windows_bytes_hint_ = 0;
+  std::size_t ops_bytes_hint_ = 0;
   /// In-flight background checkpoint write; its status lands in
   /// checkpoint_write_status_ (read only after join).
   std::thread checkpoint_writer_;

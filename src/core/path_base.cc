@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "common/logging.h"
+#include "common/sorted_entries.h"
 
 namespace sgq {
 
@@ -411,18 +412,6 @@ EdgeRef GetEdgeRef(ByteReader* in) {
   return e;
 }
 
-template <typename Map>
-std::vector<typename Map::key_type> SortedKeys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) {
-    (void)value;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 }  // namespace
 
 void PathOpBase::SerializeState(std::string* out) const {
@@ -430,12 +419,12 @@ void PathOpBase::SerializeState(std::string* out) const {
   if (!shares_window()) owned_window_.SerializeState(out);
 
   PutU64(out, trees_.size());
-  for (const VertexId root : SortedKeys(trees_)) {
-    const SpanningTree& tree = trees_.find(root)->second;
+  for (const auto* tree_entry : SortedEntries(trees_)) {
+    const auto& [root, tree] = *tree_entry;
     PutU64(out, root);
     PutU64(out, tree.nodes.size());
-    for (const NodeKey& key : SortedKeys(tree.nodes)) {
-      const TreeNode& node = tree.nodes.find(key)->second;
+    for (const auto* node_entry : SortedEntries(tree.nodes)) {
+      const auto& [key, node] = *node_entry;
       PutNodeKey(out, key);
       PutI64(out, node.iv.ts);
       PutI64(out, node.iv.exp);
@@ -448,8 +437,8 @@ void PathOpBase::SerializeState(std::string* out) const {
   }
 
   PutU64(out, inverted_.size());
-  for (const NodeKey& key : SortedKeys(inverted_)) {
-    const auto& roots = inverted_.find(key)->second;
+  for (const auto* entry : SortedEntries(inverted_)) {
+    const auto& [key, roots] = *entry;
     PutNodeKey(out, key);
     PutU32(out, static_cast<std::uint32_t>(roots.size()));
     for (const VertexId r : roots) PutU64(out, r);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/sorted_entries.h"
 
 namespace sgq {
 
@@ -507,18 +508,10 @@ void PatternOp::SerializeTable(const Table& table, std::string* out) {
   // Keys sorted (deterministic checkpoint bytes); bucket contents verbatim
   // — every bucket mutation (ScrubTable, Purge) compacts order-preservingly,
   // so restoring bindings in stored order reproduces probe order exactly.
-  std::vector<Key> keys;
-  keys.reserve(table.size());
-  for (const auto& [key, bucket] : table) {
-    (void)bucket;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end(), KeyLess);
-  PutU64(out, keys.size());
-  for (const Key& key : keys) {
-    const auto it = table.find(key);
+  PutU64(out, table.size());
+  for (const auto* entry : SortedEntries(table, KeyLess)) {
+    const auto& [key, bucket] = *entry;
     PutPatternKey(out, key);
-    const Bucket& bucket = it->second;
     PutU32(out, static_cast<std::uint32_t>(bucket.size()));
     for (const Binding& b : bucket) {
       PutU32(out, static_cast<std::uint32_t>(b.vals.size()));

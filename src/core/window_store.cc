@@ -2,30 +2,22 @@
 
 #include <algorithm>
 
+#include "common/sorted_entries.h"
+
 namespace sgq {
 
 namespace {
 const WindowEdgeStore::EdgeRun kNoEdges;
 
-using AdjKey = std::pair<VertexId, LabelId>;
-
 /// Serializes one adjacency map: keys sorted (deterministic checkpoint
 /// bytes), per-key runs verbatim (probe order is run order).
 template <typename Adjacency>
 void SerializeAdjacency(const Adjacency& adj, std::string* out) {
-  std::vector<AdjKey> keys;
-  keys.reserve(adj.size());
-  for (const auto& [key, edges] : adj) {
-    (void)edges;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  PutU64(out, keys.size());
-  for (const AdjKey& key : keys) {
-    const auto it = adj.find(key);
+  PutU64(out, adj.size());
+  for (const auto* entry : SortedEntries(adj)) {
+    const auto& [key, edges] = *entry;
     PutU64(out, key.first);
     PutU32(out, key.second);
-    const auto& edges = it->second;
     PutU32(out, static_cast<std::uint32_t>(edges.size()));
     for (const StoredEdge& e : edges) {
       PutU64(out, e.trg);

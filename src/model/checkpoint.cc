@@ -10,6 +10,7 @@
 #endif
 
 #include "common/crc32.h"
+#include "common/logging.h"
 #include "model/stream_io.h"
 
 namespace sgq {
@@ -25,6 +26,23 @@ std::string Hex32(std::uint32_t v) {
   return buf;
 }
 
+/// ByteSink over a FileByteSink whose Close() is the durable one: flush,
+/// fsync, close.
+class SyncingFileSink : public ByteSink {
+ public:
+  explicit SyncingFileSink(const std::string& path) : file_(path) {}
+  Status Append(std::string_view bytes) override {
+    return file_.Append(bytes);
+  }
+  Status Close() override {
+    SGQ_RETURN_NOT_OK(file_.Sync());
+    return file_.Close();
+  }
+
+ private:
+  FileByteSink file_;
+};
+
 /// Directory part of `path` ("" when none) — for the post-rename fsync.
 std::string DirName(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -37,31 +55,6 @@ std::string DirName(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Encoding helpers
 // ---------------------------------------------------------------------------
-
-void PutU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutI64(std::string* out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
 
 void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<std::uint32_t>(s.size()));
@@ -210,42 +203,58 @@ void CheckpointWriter::AddSection(std::string name, std::string payload) {
   sections_.emplace_back(std::move(name), std::move(payload));
 }
 
-std::string CheckpointWriter::Encode() const {
-  std::string out;
-  out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU32(&out, kCheckpointVersion);
-  PutU32(&out, static_cast<std::uint32_t>(sections_.size()));
+std::size_t CheckpointWriter::EncodedSize() const {
+  std::size_t n = sizeof(kCheckpointMagic) + 4 + 4 +
+                  sizeof(kCheckpointEndMagic) + 4;
   for (const auto& [name, payload] : sections_) {
-    PutU16(&out, static_cast<std::uint16_t>(name.size()));
-    out.append(name);
-    PutU64(&out, payload.size());
-    PutU32(&out, Crc32(payload));
-    out.append(payload);
+    n += 2 + name.size() + 8 + 4 + payload.size();
   }
-  out.append(kCheckpointEndMagic, sizeof(kCheckpointEndMagic));
-  PutU32(&out, Crc32(out));
-  return out;
+  return n;
+}
+
+std::string CheckpointWriter::Encode() const {
+  StringByteSink sink;
+  const Status st = WriteTo(&sink);
+  SGQ_CHECK(st.ok()) << st.ToString();  // a string sink cannot fail
+  return sink.TakeBytes();
 }
 
 Status CheckpointWriter::WriteTo(ByteSink* sink) const {
-  SGQ_RETURN_NOT_OK(sink->Append(Encode()));
+  // `pending` holds framing bytes not yet handed to the sink; `file_crc`
+  // covers everything that was. Payloads go to the sink as they are, so
+  // no second contiguous copy of the snapshot is ever built, and each is
+  // read once: its own CRC is folded into the file CRC by Crc32Combine.
+  std::string pending;
+  std::uint32_t file_crc = 0;
+  pending.append(kCheckpointMagic, sizeof(kCheckpointMagic));
+  PutU32(&pending, kCheckpointVersion);
+  PutU32(&pending, static_cast<std::uint32_t>(sections_.size()));
+  for (const auto& [name, payload] : sections_) {
+    const std::uint32_t payload_crc = Crc32(payload);
+    PutU16(&pending, static_cast<std::uint16_t>(name.size()));
+    pending.append(name);
+    PutU64(&pending, payload.size());
+    PutU32(&pending, payload_crc);
+    file_crc = Crc32(pending, file_crc);
+    SGQ_RETURN_NOT_OK(sink->Append(pending));
+    pending.clear();
+    file_crc = Crc32Combine(file_crc, payload_crc, payload.size());
+    SGQ_RETURN_NOT_OK(sink->Append(payload));
+  }
+  pending.append(kCheckpointEndMagic, sizeof(kCheckpointEndMagic));
+  PutU32(&pending, Crc32(pending, file_crc));
+  SGQ_RETURN_NOT_OK(sink->Append(pending));
   return sink->Close();
 }
 
 Status CheckpointWriter::WriteFile(const std::string& path) const {
-  return WriteFileDurable(path, Encode());
-}
-
-Status WriteFileDurable(const std::string& path, std::string_view bytes) {
   // Never expose a partially written file under the final name: stage the
   // image under a temp name, force it to stable storage, then rename —
   // POSIX rename(2) atomically replaces any previous checkpoint.
   const std::string tmp = path + ".tmp";
   {
-    FileByteSink sink(tmp);
-    Status st = sink.Append(bytes);
-    if (st.ok()) st = sink.Sync();
-    if (st.ok()) st = sink.Close();
+    SyncingFileSink sink(tmp);
+    const Status st = WriteTo(&sink);
     if (!st.ok()) {
       std::remove(tmp.c_str());
       return st;

@@ -20,6 +20,8 @@
 // a partial parse. Files are written through a temp-file + fsync +
 // atomic-rename protocol (CheckpointWriter::WriteFile), so a crash mid-
 // write can never leave a live-but-torn checkpoint under the final name.
+// The writer streams frame by frame and never builds the image in one
+// piece.
 //
 // The Put*/ByteReader helpers below are the single encode/decode
 // vocabulary for section payloads — operators' Serialize/Deserialize
@@ -53,13 +55,54 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 // Little-endian payload encoding helpers
 // ---------------------------------------------------------------------------
 
-void PutU8(std::string* out, std::uint8_t v);
-void PutU16(std::string* out, std::uint16_t v);
-void PutU32(std::string* out, std::uint32_t v);
-void PutU64(std::string* out, std::uint64_t v);
-void PutI64(std::string* out, std::int64_t v);
+namespace internal {
+
+/// \brief Appends the low `N` bytes of `v`, least significant first, as
+/// one word-sized append. The shifts fold into a single store on little-
+/// endian targets; nothing assumes the host byte order or alignment.
+/// Inline: serializers call these once per field, millions of times per
+/// checkpoint.
+template <std::size_t N, typename T>
+inline void PutLe(std::string* out, T v) {
+  char bytes[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  out->append(bytes, N);
+}
+
+}  // namespace internal
+
+inline void PutU8(std::string* out, std::uint8_t v) {
+  out->push_back(static_cast<char>(v));
+}
+inline void PutU16(std::string* out, std::uint16_t v) {
+  internal::PutLe<2>(out, v);
+}
+inline void PutU32(std::string* out, std::uint32_t v) {
+  internal::PutLe<4>(out, v);
+}
+inline void PutU64(std::string* out, std::uint64_t v) {
+  internal::PutLe<8>(out, v);
+}
+inline void PutI64(std::string* out, std::int64_t v) {
+  PutU64(out, static_cast<std::uint64_t>(v));
+}
 /// \brief u32 length + raw bytes.
 void PutStr(std::string* out, std::string_view s);
+
+/// \brief u32 length + the bytes `fill(out)` appends: PutStr of a nested
+/// blob serialized in place, with no temporary copy.
+template <typename Fill>
+void PutFramed(std::string* out, Fill&& fill) {
+  const std::size_t at = out->size();
+  PutU32(out, 0);
+  fill(out);
+  const std::size_t len = out->size() - at - 4;
+  for (std::size_t i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  }
+}
 
 class ByteReader;
 
@@ -115,7 +158,7 @@ class ByteReader {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// \brief Destination abstraction for checkpoint bytes. The production
+/// \brief Destination abstraction for checkpoint bytes. WriteFile's
 /// implementation wraps FileByteSink (model/stream_io.h); tests inject
 /// failing sinks to simulate ENOSPC / short writes at any byte.
 class ByteSink {
@@ -143,19 +186,26 @@ class StringByteSink : public ByteSink {
 /// \brief Assembles an SGQC image from named sections and writes it out.
 /// Section order is preserved (restore is order-independent, but a stable
 /// order keeps checkpoint bytes deterministic for differential tests).
+/// The writer owns its payloads, so a filled writer can be handed to
+/// another thread for the write (Engine::Checkpoint does).
 class CheckpointWriter {
  public:
   /// \brief Appends one section; names must be unique and < 64 KiB.
   void AddSection(std::string name, std::string payload);
 
-  /// \brief The complete SGQC byte image (header + sections + footer).
+  /// \brief Size in bytes of the image WriteTo produces.
+  std::size_t EncodedSize() const;
+
+  /// \brief The complete SGQC byte image (WriteTo into a StringByteSink).
   std::string Encode() const;
 
-  /// \brief Streams Encode() through `sink` and closes it. Any sink error
-  /// (short write, injected ENOSPC) aborts and surfaces verbatim.
+  /// \brief Streams the image through `sink` — header, then each section's
+  /// frame and payload, then the footer, with the whole-file CRC carried
+  /// across the pieces — and closes it. Any sink error (short write,
+  /// injected ENOSPC) aborts and surfaces verbatim.
   Status WriteTo(ByteSink* sink) const;
 
-  /// \brief Durable file write: encode to `path + ".tmp"`, fsync, then
+  /// \brief Durable file write: WriteTo `path + ".tmp"`, fsync, then
   /// atomically rename over `path` and fsync the parent directory. A
   /// crash at any instant leaves either the previous file (or nothing)
   /// or the complete new checkpoint — never a torn one.
@@ -166,11 +216,6 @@ class CheckpointWriter {
  private:
   std::vector<std::pair<std::string, std::string>> sections_;
 };
-
-/// \brief The durable half of CheckpointWriter::WriteFile, reusable with
-/// pre-encoded bytes: write to `path + ".tmp"`, fsync, atomically rename
-/// over `path`, fsync the parent directory.
-Status WriteFileDurable(const std::string& path, std::string_view bytes);
 
 // ---------------------------------------------------------------------------
 // Reader

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/sorted_entries.h"
 
 namespace sgq {
 
@@ -118,20 +119,12 @@ void StreamingCoalescer::Forget(const EdgeRef& key, Timestamp from) {
 }
 
 void StreamingCoalescer::SerializeState(std::string* out) const {
-  std::vector<EdgeRef> keys;
-  keys.reserve(covered_.size());
-  for (const auto& [key, ivs] : covered_) {
-    (void)ivs;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  PutU64(out, keys.size());
-  for (const EdgeRef& key : keys) {
-    const auto it = covered_.find(key);
+  PutU64(out, covered_.size());
+  for (const auto* entry : SortedEntries(covered_)) {
+    const auto& [key, ivs] = *entry;
     PutU64(out, key.src);
     PutU64(out, key.trg);
     PutU32(out, key.label);
-    const auto& ivs = it->second;
     PutU32(out, static_cast<std::uint32_t>(ivs.size()));
     for (std::size_t i = 0; i < ivs.size(); ++i) {
       PutI64(out, ivs[i].ts);

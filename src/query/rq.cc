@@ -235,11 +235,23 @@ Result<RegularQuery> ParseRq(std::string_view text, Vocabulary* vocab) {
   };
   std::vector<RawRule> raw_rules;
 
+  // Rules end at a newline or a ';' (so a one-line protocol command can
+  // carry a multi-rule query); errors name the physical line.
+  std::vector<std::pair<std::size_t, std::string>> rule_texts;
   std::size_t line_no = 0;
   for (const std::string& raw_line : SplitString(text, '\n')) {
     ++line_no;
-    std::string_view line = TrimString(raw_line);
-    if (line.empty() || line.front() == '#') continue;
+    const std::string_view trimmed = TrimString(raw_line);
+    if (trimmed.empty() || trimmed.front() == '#') continue;
+    for (const std::string& rule_text : SplitString(trimmed, ';')) {
+      if (!TrimString(rule_text).empty()) {
+        rule_texts.emplace_back(line_no, rule_text);
+      }
+    }
+  }
+  for (const auto& [rule_line, rule_text] : rule_texts) {
+    line_no = rule_line;
+    std::string_view line = TrimString(rule_text);
     // Split on "<-" or ":-".
     std::size_t arrow = line.find("<-");
     if (arrow == std::string_view::npos) arrow = line.find(":-");

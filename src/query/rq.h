@@ -105,7 +105,8 @@ struct StreamingGraphQuery {
 
 /// \brief Parses the Datalog-style text form of an RQ.
 ///
-/// Syntax, one rule per line (comments start with '#'):
+/// Syntax, one rule per line or several separated by ';' (comments start
+/// with '#'):
 ///   RL(x,y) <- likes(x,m), follows+(x,y) as FP, posts(y,m)
 ///   Answer(x,m) <- RL+(x,y) as RLP, posts(y,m)
 /// `label+(x,y)`/`label*(x,y)` denote transitive closure; `as Alias` names

@@ -1243,9 +1243,9 @@ void Executor::SerializeOps(std::string* out) const {
       const PhysicalOp* inst =
           s == 0 ? node.op.get() : node.replicas[s - 1].get();
       PutU64(out, inst->checkpoint_purge_watermark());
-      std::string blob;
-      inst->SerializeState(&blob);
-      PutStr(out, blob);
+      PutFramed(out, [inst](std::string* blob) {
+        inst->SerializeState(blob);
+      });
     }
   }
 }

@@ -1,6 +1,6 @@
 #include "runtime/window_store.h"
 
-#include <algorithm>
+#include "common/sorted_entries.h"
 
 namespace sgq {
 
@@ -54,20 +54,13 @@ void WindowStore::PurgeExpired(Timestamp now) {
 }
 
 void WindowStore::SerializeState(std::string* out) const {
-  std::vector<const std::string*> signatures;
-  signatures.reserve(partitions_.size());
-  for (const auto& [sig, p] : partitions_) {
-    (void)p;
-    signatures.push_back(&sig);
-  }
-  std::sort(signatures.begin(), signatures.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  PutU32(out, static_cast<std::uint32_t>(signatures.size()));
-  for (const std::string* sig : signatures) {
-    PutStr(out, *sig);
-    std::string blob;
-    partitions_.at(*sig).store->SerializeState(&blob);
-    PutStr(out, blob);
+  PutU32(out, static_cast<std::uint32_t>(partitions_.size()));
+  for (const auto* entry : SortedEntries(partitions_)) {
+    const auto& [sig, partition] = *entry;
+    PutStr(out, sig);
+    PutFramed(out, [&](std::string* blob) {
+      partition.store->SerializeState(blob);
+    });
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -61,6 +62,81 @@ TEST(Crc32Test, ChunkedMatchesOneShot) {
     const std::uint32_t first = Crc32(data.substr(0, split));
     EXPECT_EQ(Crc32(data.substr(split), first), whole) << "split " << split;
   }
+}
+
+/// The definition, one bit at a time: the reference the table-driven
+/// implementation must reproduce exactly.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t len,
+                           std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+/// Deterministic bytes covering every value, NULs and high bits included.
+std::vector<unsigned char> PseudoRandomBytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // 8 leading bytes of slack so every start offset mod 8 is covered.
+  const std::vector<unsigned char> buf = PseudoRandomBytes(600 + 8);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 600; ++len) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChunkedMatchesOneShotAtArbitrarySplits) {
+  const std::vector<unsigned char> buf = PseudoRandomBytes(1000);
+  const std::uint32_t whole = BitwiseCrc32(buf.data(), buf.size());
+  ASSERT_EQ(Crc32(buf.data(), buf.size()), whole);
+  // Two-way splits at every point, then irregular multi-way chunkings
+  // whose pieces straddle the 8-byte blocks at every phase.
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t first = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, first), whole)
+        << "split " << split;
+  }
+  for (std::size_t step = 1; step <= 23; ++step) {
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    for (std::size_t piece = step; at < buf.size(); piece = piece * 3 % 29) {
+      const std::size_t n = std::min(piece + 1, buf.size() - at);
+      crc = Crc32(buf.data() + at, n, crc);
+      at += n;
+    }
+    EXPECT_EQ(crc, whole) << "step " << step;
+  }
+}
+
+TEST(Crc32Test, CombineMatchesConcatenation) {
+  const std::vector<unsigned char> buf = PseudoRandomBytes(700);
+  for (std::size_t split = 0; split <= buf.size(); split += 13) {
+    const std::uint32_t a = Crc32(buf.data(), split);
+    const std::uint32_t b = Crc32(buf.data() + split, buf.size() - split);
+    EXPECT_EQ(Crc32Combine(a, b, buf.size() - split),
+              BitwiseCrc32(buf.data(), buf.size()))
+        << "split " << split;
+  }
+  // Appending nothing leaves the CRC unchanged.
+  EXPECT_EQ(Crc32Combine(Crc32("abc"), 0u, 0u), Crc32("abc"));
 }
 
 // ---------------------------------------------------------------------------

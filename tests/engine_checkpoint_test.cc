@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/query_processor.h"
@@ -406,6 +407,88 @@ TEST(EngineCheckpointTest, MetricsAndExtrasRoundTrip) {
   ByteReader in(extra["x-reorder"], "extra");
   EXPECT_EQ(in.U64(), 12345u);
   EXPECT_TRUE(in.ExpectEnd().ok());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the SGQC v2 encoding is pinned
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 — a digest independent of the format's own CRC-32, so the
+/// golden check still means something if the CRC code is wrong.
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(EngineCheckpointTest, GoldenSnapshotBytesArePinned) {
+  // A fixed hand-built stream (no random generator, whose distributions
+  // are library-defined) through a PATH + PATTERN + sink plan, on S-PATH,
+  // the Δ-tree, and two shards (merge coalescers). Any change to the
+  // container framing, a section layout, the CRC or the order serializers
+  // visit their state shows up as a different digest; a deliberate format
+  // change bumps kCheckpointVersion and re-records them.
+  std::string csv;
+  const char* labels[] = {"a", "b", "c"};
+  for (int i = 0; i < 90; ++i) {
+    const std::string edge = "v" + std::to_string(i % 7) + "," +
+                             labels[i % 3] + ",v" +
+                             std::to_string((i * 5 + 3) % 7);
+    csv += edge + "," + std::to_string(i / 2) + "\n";
+    if (i % 11 == 10) {  // delete the edge inserted four lines earlier
+      const int j = i - 4;
+      csv += "v" + std::to_string(j % 7) + "," + labels[j % 3] + ",v" +
+             std::to_string((j * 5 + 3) % 7) + "," + std::to_string(i / 2) +
+             ",-\n";
+    }
+  }
+  struct Golden {
+    PathImpl impl;
+    std::size_t workers;
+    std::size_t size;
+    std::uint64_t fnv;
+    std::uint32_t file_crc;  ///< the footer's stored whole-file CRC
+  };
+  const Golden goldens[] = {
+      {PathImpl::kSPath, 1, 27627u, 11637879807535963442ull, 0xadf0043fu},
+      {PathImpl::kDeltaPath, 1, 21115u, 15118789117437506702ull, 0x0d5a8337u},
+      {PathImpl::kSPath, 2, 30854u, 16136289843341419698ull, 0x6fd5551bu},
+  };
+  const std::string path = TempPath("ckpt_golden.sgqc");
+  for (const Golden& golden : goldens) {
+    Vocabulary vocab;
+    auto stream = ParseStreamCsv(csv, &vocab);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    auto query = MakeQuery(kQuery, WindowSpec(12, 2), &vocab);
+    ASSERT_TRUE(query.ok());
+    EngineOptions options;
+    options.path_impl = golden.impl;
+    options.num_workers = golden.workers;
+    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+    ASSERT_TRUE(qp.ok());
+    for (std::size_t i = 0; i < 2 * stream->size() / 3; ++i) {
+      (*qp)->Push((*stream)[i]);
+    }
+
+    Engine& engine = (*qp)->engine();
+    ASSERT_TRUE(engine.Checkpoint(path, &vocab).ok());
+    ASSERT_TRUE(engine.WaitForCheckpoint().ok());
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    const std::string what = "impl=" +
+                             std::to_string(static_cast<int>(golden.impl)) +
+                             " workers=" + std::to_string(golden.workers);
+    EXPECT_EQ(engine.checkpoint_bytes(), bytes->size()) << what;
+    EXPECT_EQ(bytes->size(), golden.size) << what;
+    EXPECT_EQ(Fnv1a64(*bytes), golden.fnv) << what;
+    ByteReader footer(std::string_view(*bytes).substr(bytes->size() - 4),
+                      "footer");
+    EXPECT_EQ(footer.U32(), golden.file_crc) << what;
+  }
   std::remove(path.c_str());
 }
 

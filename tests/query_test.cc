@@ -34,6 +34,28 @@ TEST(RqParserTest, ParsesExample2) {
   EXPECT_FALSE(vocab.IsInputLabel(*vocab.FindLabel("Answer")));
 }
 
+TEST(RqParserTest, SemicolonSeparatesRulesLikeNewline) {
+  Vocabulary vocab;
+  auto lines = ParseRq(
+      "RL(x,y) <- likes(x,m), follows+(x,y), posts(y,m)\n"
+      "Answer(x,m) <- RL+(x,y), posts(y,m)\n",
+      &vocab);
+  auto one_line = ParseRq(
+      "RL(x,y) <- likes(x,m), follows+(x,y), posts(y,m); "
+      "Answer(x,m) <- RL+(x,y), posts(y,m);",
+      &vocab);
+  ASSERT_TRUE(lines.ok()) << lines.status().ToString();
+  ASSERT_TRUE(one_line.ok()) << one_line.status().ToString();
+  ASSERT_EQ(one_line->rules().size(), 2u);
+  EXPECT_EQ(one_line->ToString(vocab), lines->ToString(vocab));
+  // An error in the second rule names the physical line.
+  auto bad = ParseRq("Answer(x,y) <- a(x,y)\nR(x) <- b(x,y); S(x <- c(x)",
+                     &vocab);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("line 2"), std::string::npos)
+      << bad.status().ToString();
+}
+
 TEST(RqParserTest, AcceptsAnsAsAnswer) {
   Vocabulary vocab;
   auto rq = ParseRq("Ans(x,y) <- e(x,y)", &vocab);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,6 +88,43 @@ TEST(SessionTest, SubscribeIngestMatchesStaticRun) {
 
   const std::vector<std::string> session_lines = TaggedLines(output, 0);
   const std::vector<Sgt>& reference = (*qp)->results();
+  ASSERT_EQ(session_lines.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(session_lines[i], reference[i].ToString(vocab))
+        << "result " << i;
+  }
+}
+
+TEST(SessionTest, TwoRuleQuerySubscribesOnOneLine) {
+  // SNB Q4 has two rules; a SUBSCRIBE line carries them separated by ';'.
+  // Its results must equal a static run of the newline-separated text.
+  Vocabulary vocab;
+  SnbOptions snb;
+  snb.num_persons = 40;
+  snb.num_communities = 4;
+  snb.num_events = 600;
+  auto stream = GenerateSnbStream(snb, &vocab);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  const WindowSpec window(10 * kDay, kDay);
+  const std::string text = SnbQuerySet()[3].text;
+  ASSERT_NE(text.find('\n'), std::string::npos);
+  std::string one_line = text;
+  std::replace(one_line.begin(), one_line.end(), '\n', ';');
+
+  const std::string output = RunSession(
+      "SUBSCRIBE " + one_line + "\nINGEST ALL\nQUIT\n", *stream, &vocab,
+      window);
+  EXPECT_EQ(ProtocolLines(output).front(), "SUBSCRIBED 0");
+
+  auto query = MakeQuery(text, window, &vocab);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto qp = QueryProcessor::FromQuery(*query, vocab, EngineOptions{});
+  ASSERT_TRUE(qp.ok());
+  (*qp)->PushAll(*stream);
+
+  const std::vector<std::string> session_lines = TaggedLines(output, 0);
+  const std::vector<Sgt>& reference = (*qp)->results();
+  ASSERT_FALSE(reference.empty());
   ASSERT_EQ(session_lines.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(session_lines[i], reference[i].ToString(vocab))
