@@ -4,73 +4,6 @@
 
 namespace sgq {
 
-void DeltaPathOp::OnTuple(int port, const Sgt& tuple) {
-  (void)port;
-  if (tuple.is_deletion) {
-    HandleExplicitDeletion(tuple);
-    return;
-  }
-  if (tuple.validity.Empty()) return;
-  window_->Insert(tuple.src, tuple.trg, tuple.label, tuple.validity);
-
-  std::vector<AttachWork> work;
-  for (const auto& [s, q] : dfa().TransitionsOnLabel(tuple.label)) {
-    if (s == dfa().start() && OwnsRoot(tuple.src)) EnsureTree(tuple.src);
-    const NodeKey parent_key{tuple.src, s};
-    for (VertexId root : TreesContaining(parent_key)) {
-      auto tree_it = trees_.find(root);
-      if (tree_it == trees_.end()) continue;
-      auto node_it = tree_it->second.nodes.find(parent_key);
-      if (node_it == tree_it->second.nodes.end()) continue;
-      const Interval iv = node_it->second.iv.Intersect(tuple.validity);
-      if (iv.Empty()) continue;
-      work.push_back(AttachWork{root, parent_key, NodeKey{tuple.trg, q},
-                                tuple.edge(), iv});
-    }
-  }
-  DrainWorklist(std::move(work));
-}
-
-void DeltaPathOp::DrainWorklist(std::vector<AttachWork> work) {
-  while (!work.empty()) {
-    AttachWork w = std::move(work.back());
-    work.pop_back();
-    if (w.child == w.parent) continue;
-    auto tree_it = trees_.find(w.root);
-    if (tree_it == trees_.end()) continue;
-    SpanningTree& tree = tree_it->second;
-
-    auto node_it = tree.nodes.find(w.child);
-    if (node_it != tree.nodes.end()) {
-      // Negative-tuple behaviour (Example 10): an existing, still valid
-      // node is left untouched — even if the new derivation would expire
-      // later. Stale (expired) nodes are replaced, mirroring the explicit
-      // deletion that [57] would have processed by now.
-      if (node_it->second.is_root ||
-          node_it->second.iv.exp > w.iv.ts) {
-        continue;
-      }
-    }
-    TreeNode node;
-    node.iv = w.iv;
-    node.parent = w.parent;
-    node.via = w.via;
-    SetNode(tree, w.child, std::move(node));
-    if (dfa().IsAccepting(w.child.second)) {
-      EmitResult(tree, w.child, w.iv);
-    }
-    for (const auto& [label, q] : OutTransitions(w.child.second)) {
-      for (const StoredEdge& e : window_->OutEdges(w.child.first, label)) {
-        const Interval next_iv = w.iv.Intersect(e.validity);
-        if (next_iv.Empty()) continue;
-        work.push_back(AttachWork{w.root, w.child, NodeKey{e.trg, q},
-                                  EdgeRef(w.child.first, e.trg, label),
-                                  next_iv});
-      }
-    }
-  }
-}
-
 void DeltaPathOp::OnTimeAdvance(Timestamp now) {
   // Window memory is reclaimed calendar-cheaply regardless of whether any
   // tree node expired.

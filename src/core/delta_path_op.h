@@ -4,7 +4,8 @@
 //
 // Differences from S-PATH (paper Example 10):
 //  - On arrival, a node already present in a tree is NOT updated even when
-//    the new derivation would expire later (no Propagate).
+//    the new derivation would expire later (no Propagate): the accept rule
+//    kExpandOnly of PathOpBase's shared widest-first insertion drain.
 //  - Window expirations are processed like explicit deletions (DRed-style
 //    delete/re-derive): at each time advance, every node whose derivation
 //    expired is detached and the operator searches the snapshot graph for
@@ -30,9 +31,7 @@ namespace sgq {
 class DeltaPathOp : public PathOpBase {
  public:
   DeltaPathOp(Dfa dfa, LabelId output_label)
-      : PathOpBase(std::move(dfa), output_label) {}
-
-  void OnTuple(int port, const Sgt& tuple) override;
+      : PathOpBase(std::move(dfa), output_label, AcceptRule::kExpandOnly) {}
 
   /// \brief Processes pending window expirations (delete + re-derive).
   void OnTimeAdvance(Timestamp now) override;
@@ -51,16 +50,6 @@ class DeltaPathOp : public PathOpBase {
   std::size_t rederivation_rounds() const { return rederivation_rounds_; }
 
  private:
-  struct AttachWork {
-    VertexId root;
-    NodeKey parent;
-    NodeKey child;
-    EdgeRef via;
-    Interval iv;
-  };
-
-  void DrainWorklist(std::vector<AttachWork> work);
-
   /// Scratch for the calendar drain (capacity reused across waves).
   std::vector<std::pair<VertexId, NodeKey>> expired_scratch_;
   std::size_t rederivation_rounds_ = 0;

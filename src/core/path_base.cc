@@ -1,21 +1,107 @@
 #include "core/path_base.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.h"
 #include "common/sorted_entries.h"
 
 namespace sgq {
 
-PathOpBase::PathOpBase(Dfa dfa, LabelId out_label)
-    : dfa_(std::move(dfa)), out_label_(out_label) {
+PathOpBase::PathOpBase(Dfa dfa, LabelId out_label, AcceptRule accept)
+    : dfa_(std::move(dfa)), out_label_(out_label), accept_(accept) {
   out_transitions_.resize(dfa_.NumStates());
   in_transitions_.resize(dfa_.NumStates());
   for (const auto& [from, label, to] : dfa_.Transitions()) {
     out_transitions_[from].emplace_back(label, to);
     in_transitions_[to].emplace_back(label, from);
   }
+}
+
+void PathOpBase::OnTuple(int port, const Sgt& tuple) {
+  (void)port;
+  if (tuple.is_deletion) {
+    HandleExplicitDeletion(tuple);
+    return;
+  }
+  if (tuple.validity.Empty()) return;
+  window_->Insert(tuple.src, tuple.trg, tuple.label, tuple.validity);
+
+  for (const auto& [s, q] : dfa_.TransitionsOnLabel(tuple.label)) {
+    if (s == dfa_.start() && OwnsRoot(tuple.src)) {
+      // S-PATH lines 7-8: root a new spanning tree at the source vertex
+      // (under sharding, only on the shard owning the root).
+      EnsureTree(tuple.src);
+    }
+    const NodeKey parent_key{tuple.src, s};
+    const NodeKey child_key{tuple.trg, q};
+    if (child_key == parent_key) continue;  // self-loop in the same state
+    auto inv_it = inverted_.find(parent_key);
+    if (inv_it == inverted_.end()) continue;
+    // Seeding only reads the index, so its run is walked in place.
+    for (const VertexId root : inv_it->second) {
+      auto tree_it = trees_.find(root);
+      if (tree_it == trees_.end()) continue;
+      const auto& nodes = tree_it->second.nodes;
+      auto node_it = nodes.find(parent_key);
+      if (node_it == nodes.end()) continue;
+      const Interval iv = node_it->second.iv.Intersect(tuple.validity);
+      if (iv.Empty()) continue;  // parent expired w.r.t. this edge: ignore
+      PushCandidate(Candidate{iv, child_key, parent_key, root, tuple.label});
+    }
+  }
+  DrainInsertion();
+}
+
+void PathOpBase::DrainInsertion() {
+  while (!queue_.empty()) {
+    const Candidate c = PopCandidate();
+    SpanningTree& tree = trees_.find(c.root)->second;
+    const Interval iv = Accept(tree, c);
+    if (iv.Empty()) continue;
+    if (dfa_.IsAccepting(c.child.second)) EmitResult(tree, c.child, iv);
+
+    // Continue the traversal of the snapshot graph from the new/updated
+    // node (Expand/Propagate lines 8-12). Candidates the node's current
+    // derivation already beats are never queued.
+    for (const auto& [label, q] : out_transitions_[c.child.second]) {
+      for (const StoredEdge& e : window_->OutEdges(c.child.first, label)) {
+        const Candidate next{iv.Intersect(e.validity), NodeKey{e.trg, q},
+                             c.child, c.root, label};
+        if (next.iv.Empty() || next.child == c.child) continue;
+        auto it = tree.nodes.find(next.child);
+        if (it != tree.nodes.end() && Rejects(it->second, next)) continue;
+        PushCandidate(next);
+      }
+    }
+  }
+}
+
+Interval PathOpBase::Accept(SpanningTree& tree, const Candidate& c) {
+  auto it = tree.nodes.find(c.child);
+  if (it != tree.nodes.end() && Rejects(it->second, c)) return Interval();
+  if (it == tree.nodes.end() || it->second.iv.exp <= c.iv.ts) {
+    // Expand: the target is absent, or its derivation already expired
+    // relative to the new one and is replaced wholesale.
+    TreeNode node;
+    node.iv = c.iv;
+    node.parent = c.parent;
+    node.via = c.via();
+    SetNode(tree, c.child, std::move(node));
+    return c.iv;
+  }
+  // Propagate (S-PATH line 18): adopt the derivation that expires later.
+  // Old and new intervals overlap here (the old one has not expired), so
+  // the span introduces no validity gap. The in-place update bypasses
+  // SetNode, so the expiry calendar is told directly.
+  TreeNode& node = it->second;
+  const NodeKey old_parent = node.parent;
+  node.parent = c.parent;
+  node.via = c.via();
+  node.iv = node.iv.Span(c.iv);
+  const Interval iv = node.iv;
+  node_expiry_.Add(iv.exp, {c.root, c.child});
+  ReparentNode(tree, c.child, old_parent, c.parent);
+  return iv;
 }
 
 PathOpBase::SpanningTree& PathOpBase::EnsureTree(VertexId x) {
@@ -215,26 +301,8 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
   // Detach: remove the subtree from the tree (Dijkstra reattaches below).
   for (const NodeKey& k : subtree) RemoveNode(tree, k);
 
-  // Dijkstra on maximal expiry (§6.2.5): candidates ordered by descending
-  // exp so the first reattachment of a node is its best alternative. The
-  // remaining fields give a canonical total order (widest interval, then
-  // smallest child/parent/label), so the result is independent of the
-  // seeding order.
-  struct Candidate {
-    Interval iv;
-    NodeKey child;
-    NodeKey parent;
-    EdgeRef via;
-    bool operator<(const Candidate& o) const {
-      if (iv.exp != o.iv.exp) return iv.exp < o.iv.exp;
-      if (iv.ts != o.iv.ts) return iv.ts > o.iv.ts;
-      if (child != o.child) return child > o.child;
-      if (parent != o.parent) return parent > o.parent;
-      return via.label > o.via.label;
-    }
-  };
-  std::priority_queue<Candidate> pq;
-
+  // Dijkstra on maximal expiry (§6.2.5), in the Candidate order: the
+  // first reattachment of a node is its best alternative.
   auto relax_from = [&](const NodeKey& parent_key, const Interval& piv) {
     for (const auto& [label, q] : out_transitions_[parent_key.second]) {
       for (const StoredEdge& e :
@@ -243,8 +311,7 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
         if (!detached.contains(child)) continue;
         const Interval iv = piv.Intersect(e.validity);
         if (iv.Empty() || iv.exp <= now) continue;
-        pq.push(Candidate{iv, child, parent_key,
-                          EdgeRef(parent_key.first, e.trg, label)});
+        PushCandidate(Candidate{iv, child, parent_key, tree.root, label});
       }
     }
   };
@@ -268,22 +335,20 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
         if (pnode.iv.exp <= now && !pnode.is_root) continue;
         const Interval iv = pnode.iv.Intersect(e.validity);
         if (iv.Empty() || iv.exp <= now) continue;
-        pq.push(Candidate{iv, child, parent_key,
-                          EdgeRef(e.trg, child.first, label)});
+        PushCandidate(Candidate{iv, child, parent_key, tree.root, label});
       }
     }
   }
 
   FlatSet<NodeKey, PairHash> reattached;
   std::vector<NodeKey> reattached_order;
-  while (!pq.empty()) {
-    Candidate c = pq.top();
-    pq.pop();
+  while (!queue_.empty()) {
+    const Candidate c = PopCandidate();
     if (reattached.contains(c.child)) continue;
     TreeNode node;
     node.iv = c.iv;
     node.parent = c.parent;
-    node.via = c.via;
+    node.via = c.via();
     SetNode(tree, c.child, std::move(node));
     reattached.insert(c.child);
     reattached_order.push_back(c.child);

@@ -1,8 +1,11 @@
 // Shared machinery of the PATH physical operators (§6.2.3-§6.2.5):
 // the Δ-PATH spanning forest (Defs. 21-22), the inverted (vertex, state)
-// index, witness-path recovery, result emission, and the Dijkstra-style
-// delete/re-derive procedure used for explicit deletions (and, by the
-// negative-tuple variant, for window expirations).
+// index, the insertion traversal, witness-path recovery, result emission,
+// and the Dijkstra-style delete/re-derive procedure used for explicit
+// deletions (and, by the negative-tuple variant, for window expirations).
+// Insertion and re-derivation drain one candidate queue in one
+// widest-first order; S-PATH and the Δ-tree differ on insertion only in
+// their AcceptRule.
 //
 // State layout (DESIGN.md §"State layout"): forests and the inverted
 // index live on flat hash maps; inverted-index root lists are
@@ -17,7 +20,9 @@
 #ifndef SGQ_CORE_PATH_BASE_H_
 #define SGQ_CORE_PATH_BASE_H_
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -37,7 +42,23 @@ using NodeKey = std::pair<VertexId, StateId>;
 /// \brief Base of the S-PATH and Δ-tree PATH operators.
 class PathOpBase : public PhysicalOp {
  public:
-  PathOpBase(Dfa dfa, LabelId out_label);
+  /// \brief What an arriving derivation does to a node that is present and
+  /// still valid — the one point where the two operators' insertion
+  /// differs (paper Example 10).
+  enum class AcceptRule {
+    kExpandOrPropagate,  ///< S-PATH: adopt a derivation that expires later
+    kExpandOnly,         ///< Δ-tree: keep the existing derivation
+  };
+
+  PathOpBase(Dfa dfa, LabelId out_label, AcceptRule accept);
+
+  /// \brief Insertion (S-PATH lines 5-18): adds the edge to the window,
+  /// seeds one candidate per tree holding a co-valid (src, s) node, and
+  /// drains the candidates widest first (largest expiry, then earliest
+  /// start), so each tree node settles on its longest-lived derivation
+  /// the first time it is accepted. Accepting nodes emit a result.
+  /// Deletions go to HandleExplicitDeletion.
+  void OnTuple(int port, const Sgt& tuple) override;
 
   std::string Name() const override { return "PATH"; }
   std::size_t StateSize() const override;
@@ -135,15 +156,8 @@ class PathOpBase : public PhysicalOp {
   /// \brief Removes `key` from `tree` and the inverted index.
   void RemoveNode(SpanningTree& tree, const NodeKey& key);
 
-  /// \brief Re-registers `key`'s expiry after an in-place interval update
-  /// (S-PATH's Propagate extends node intervals without going through
-  /// SetNode).
-  void RegisterNodeExpiry(VertexId root, const NodeKey& key, Timestamp exp) {
-    node_expiry_.Add(exp, {root, key});
-  }
-
   /// \brief Moves `child`'s child-link from `old_parent` to `new_parent`
-  /// (S-PATH's Propagate adopts a new parent in place).
+  /// (SetNode overwrites and Propagate adopt a new parent in place).
   void ReparentNode(SpanningTree& tree, const NodeKey& child,
                     const NodeKey& old_parent, const NodeKey& new_parent) {
     if (old_parent == new_parent) return;
@@ -188,15 +202,6 @@ class PathOpBase : public PhysicalOp {
   /// a deleted tree edge (deleting a non-tree edge changes nothing).
   void HandleExplicitDeletion(const Sgt& t);
 
-  /// \brief Transitions (label, target) leaving automaton state `s`.
-  const std::vector<std::pair<LabelId, StateId>>& OutTransitions(
-      StateId s) const {
-    return out_transitions_[s];
-  }
-
-  const Dfa& dfa() const { return dfa_; }
-  LabelId out_label() const { return out_label_; }
-
   /// Window adjacency: points at the operator's own store, or at a shared
   /// WindowStore partition after BindSharedWindow(). Shared maintenance is
   /// safe without coordination: inserts coalesce idempotently and repeated
@@ -223,6 +228,54 @@ class PathOpBase : public PhysicalOp {
   SlabPool inverted_pool_;  ///< overflow storage of inverted_ runs
   SlabPool children_pool_;  ///< overflow storage of child-link runs
 
+  /// \brief A candidate derivation: `child` under `parent` in the tree
+  /// rooted at `root`, over the window edge parent.first -label->
+  /// child.first, with joint validity `iv` (already intersected with the
+  /// parent's interval). The order is the widest-path (Dijkstra on
+  /// maximal expiry) order of both the insertion drain and
+  /// re-derivation: a max-heap pops the largest expiry, then the earliest
+  /// start, then the smallest (child, parent, label, root), so the result
+  /// never depends on the order candidates were found in.
+  struct Candidate {
+    Interval iv;
+    NodeKey child;
+    NodeKey parent;
+    VertexId root;
+    LabelId label;
+
+    EdgeRef via() const { return EdgeRef(parent.first, child.first, label); }
+    bool operator<(const Candidate& o) const {
+      if (iv.exp != o.iv.exp) return iv.exp < o.iv.exp;
+      if (iv.ts != o.iv.ts) return iv.ts > o.iv.ts;
+      return std::tie(o.child, o.parent, o.label, o.root) <
+             std::tie(child, parent, label, root);
+    }
+  };
+
+  /// Insertion drain (see OnTuple): pops `queue_` until it is empty.
+  void DrainInsertion();
+  /// Applies the accept rule to `c`: Expand when c.child is absent or
+  /// stale, Propagate when the rule allows and `c` expires later. Returns
+  /// the node's new interval, or an empty one when `c` is rejected.
+  Interval Accept(SpanningTree& tree, const Candidate& c);
+  /// True when `c` can never be accepted over `node`, which stays at
+  /// least as good for the rest of a drain.
+  bool Rejects(const TreeNode& node, const Candidate& c) const {
+    if (node.is_root) return true;
+    if (node.iv.exp <= c.iv.ts) return false;  // stale: Expand replaces it
+    return accept_ == AcceptRule::kExpandOnly || node.iv.exp >= c.iv.exp;
+  }
+  void PushCandidate(const Candidate& c) {
+    queue_.push_back(c);
+    std::push_heap(queue_.begin(), queue_.end());
+  }
+  Candidate PopCandidate() {
+    std::pop_heap(queue_.begin(), queue_.end());
+    Candidate c = queue_.back();
+    queue_.pop_back();
+    return c;
+  }
+
   void AddChildLink(SpanningTree& tree, const NodeKey& parent,
                     const NodeKey& child);
   void RemoveChildLink(SpanningTree& tree, const NodeKey& parent,
@@ -234,6 +287,10 @@ class PathOpBase : public PhysicalOp {
   /// instead of scanning every surviving node's out-edges.
   std::vector<std::vector<std::pair<LabelId, StateId>>> in_transitions_;
   StreamingCoalescer out_coalescer_;
+  AcceptRule accept_;
+  /// Candidate max-heap of the insertion drain and of re-derivation;
+  /// empty between calls, its capacity reused.
+  std::vector<Candidate> queue_;
   /// Total nodes across trees_ (roots included): O(1) StateSize.
   std::size_t num_tree_nodes_ = 0;
   /// Roots whose tree shrank to (or was created with) just the root node;

@@ -211,28 +211,21 @@ void PatternOp::Cascade(std::size_t level, const Binding& acc, Mode mode) {
 void PatternOp::Project(const Binding& b, Mode mode) {
   const VertexId src = b.vals[static_cast<std::size_t>(out_src_var_)];
   const VertexId trg = b.vals[static_cast<std::size_t>(out_trg_var_)];
-  // Payload: the derived edge itself (Def. 19).
+  // Payload: the derived edge itself (Def. 19). Positives are offered to
+  // the coalescer bare and get their payload only once accepted.
   const EdgeRef derived(src, trg, out_label_);
-  switch (mode) {
-    case Mode::kInsert: {
-      Sgt out(src, trg, out_label_, b.iv, {derived});
-      if (out_coalescer_.Offer(out)) EmitTuple(out);
-      break;
-    }
-    case Mode::kRetract: {
-      Sgt out(src, trg, out_label_, b.iv, {derived}, /*del=*/true);
-      out_coalescer_.Forget(derived, b.iv.ts);
-      retracted_values_.insert(derived);
-      EmitTuple(out);
-      break;
-    }
-    case Mode::kReassert: {
-      if (!retracted_values_.contains(derived)) break;
-      Sgt out(src, trg, out_label_, b.iv, {derived});
-      if (out_coalescer_.Offer(out)) EmitTuple(out);
-      break;
-    }
+  if (mode == Mode::kRetract) {
+    Sgt out(src, trg, out_label_, b.iv, {derived}, /*del=*/true);
+    out_coalescer_.Forget(derived, b.iv.ts);
+    retracted_values_.insert(derived);
+    EmitTuple(out);
+    return;
   }
+  if (mode == Mode::kReassert && !retracted_values_.contains(derived)) return;
+  Sgt out(src, trg, out_label_, b.iv, {});
+  if (!out_coalescer_.Offer(out)) return;
+  out.payload = {derived};
+  EmitTuple(out);
 }
 
 void PatternOp::OnTuple(int port, const Sgt& tuple) {
@@ -255,13 +248,14 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
     // payload so materialized paths stay first-class through it (R3).
     const VertexId src = b.vals[static_cast<std::size_t>(out_src_var_)];
     const VertexId trg = b.vals[static_cast<std::size_t>(out_trg_var_)];
-    Sgt out(src, trg, out_label_, b.iv, tuple.payload, tuple.is_deletion);
+    Sgt out(src, trg, out_label_, b.iv, {}, tuple.is_deletion);
     if (tuple.is_deletion) {
       out_coalescer_.Forget(out.edge(), out.validity.ts);
-      EmitTuple(out);
-    } else if (out_coalescer_.Offer(out)) {
-      EmitTuple(out);
+    } else if (!out_coalescer_.Offer(out)) {
+      return;
     }
+    out.payload = tuple.payload;
+    EmitTuple(out);
     return;
   }
 

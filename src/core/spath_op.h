@@ -20,29 +20,15 @@ namespace sgq {
 ///     (src, s) node is co-valid with the edge (Expand when the target node
 ///     is absent or stale, Propagate when its expiry improves),
 ///  3. emits a result whenever an accepting node is created or improved.
+/// The traversal is PathOpBase's widest-first drain; S-PATH's accept rule
+/// is kExpandOrPropagate.
 class SPathOp : public PathOpBase {
  public:
   SPathOp(Dfa dfa, LabelId output_label)
-      : PathOpBase(std::move(dfa), output_label) {}
+      : PathOpBase(std::move(dfa), output_label,
+                   AcceptRule::kExpandOrPropagate) {}
 
-  void OnTuple(int port, const Sgt& tuple) override;
   std::string Name() const override { return "PATH[S-PATH]"; }
-
- private:
-  /// One unit of traversal work: try to attach/improve `child` under
-  /// `parent` in the tree rooted at `root`, via `edge` with joint validity
-  /// `iv` (already intersected with the parent's interval).
-  struct AttachWork {
-    VertexId root;
-    NodeKey parent;
-    NodeKey child;
-    EdgeRef via;
-    Interval iv;
-  };
-
-  /// Processes a worklist seeded with one attach request; performs the
-  /// recursive Expand/Propagate traversal iteratively.
-  void DrainWorklist(std::vector<AttachWork> work);
 };
 
 }  // namespace sgq

@@ -454,9 +454,9 @@ TEST(EngineCheckpointTest, GoldenSnapshotBytesArePinned) {
     std::uint32_t file_crc;  ///< the footer's stored whole-file CRC
   };
   const Golden goldens[] = {
-      {PathImpl::kSPath, 1, 27627u, 11637879807535963442ull, 0xadf0043fu},
-      {PathImpl::kDeltaPath, 1, 21115u, 15118789117437506702ull, 0x0d5a8337u},
-      {PathImpl::kSPath, 2, 30854u, 16136289843341419698ull, 0x6fd5551bu},
+      {PathImpl::kSPath, 1, 27627u, 550364223562587528ull, 0xe7d289a9u},
+      {PathImpl::kDeltaPath, 1, 21115u, 9611676577476390617ull, 0x4e8c54feu},
+      {PathImpl::kSPath, 2, 30854u, 9529373989158653600ull, 0xc0868c60u},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const Golden& golden : goldens) {

@@ -1,6 +1,6 @@
 // Tests for the PATH physical operators: the Figure 9 S-PATH trace, the
 // direct vs negative-tuple comparison (Example 10), explicit deletions
-// (§6.2.5), and randomized snapshot-reducibility properties against the
+// (§6.2.5), the widest-first insertion order, and randomized snapshot-reducibility properties against the
 // product-BFS oracle.
 
 #include <gtest/gtest.h>
@@ -197,6 +197,104 @@ TEST_F(Figure9Test, ExplicitDeletionRetractsAndReasserts) {
   // But the surviving (x,u) witness now has the direct edge's expiry 30.
   EXPECT_TRUE(PairsAt(sink.tuples, 29).count({Id("x"), Id("u")}) > 0);
   EXPECT_EQ(PairsAt(sink.tuples, 31).count({Id("x"), Id("u")}), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Widest-first insertion: one arriving edge reaches v along two paths with
+// different expiries. In window order p's out-edges are (p,r) then (p,q),
+// so a depth-first (LIFO) drain reaches v through the short-lived q->v
+// first; the widest-first drain settles v on the path through r.
+// ---------------------------------------------------------------------------
+
+class WidestFirstTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    a_ = *vocab_.InternInputLabel("a");
+    b_ = *vocab_.InternInputLabel("b");
+    out_ = *vocab_.InternDerivedLabel("out");
+    for (const char* name : {"x", "p", "q", "r", "v"}) {
+      ids_[name] = vocab_.InternVertex(name);
+    }
+    auto regex = ParseRegex("a b+", &vocab_);
+    ASSERT_TRUE(regex.ok());
+    dfa_ = Dfa::FromRegex(*regex);
+  }
+
+  /// The b-edges first (they root no tree under "a b+"), then the arriving
+  /// a-edge x->p at t=10. Paths x->p->r->v expire at 40, x->p->q->v at 20.
+  std::vector<Sgt> Stream() {
+    auto E = [&](const char* s, LabelId l, const char* g, Timestamp ts,
+                 Timestamp exp) {
+      return Sgt(Id(s), Id(g), l, Interval(ts, exp),
+                 {EdgeRef(Id(s), Id(g), l)});
+    };
+    return {E("p", b_, "r", 1, 45), E("r", b_, "v", 2, 40),
+            E("p", b_, "q", 3, 45), E("q", b_, "v", 4, 20),
+            E("x", a_, "p", 10, 50)};
+  }
+
+  /// Every (x, v) result in `tuples`.
+  std::vector<Sgt> XToV(const std::vector<Sgt>& tuples) {
+    std::vector<Sgt> out;
+    for (const Sgt& t : tuples) {
+      if (t.src == Id("x") && t.trg == Id("v")) out.push_back(t);
+    }
+    return out;
+  }
+
+  VertexId Id(const char* name) { return ids_.at(name); }
+
+  Vocabulary vocab_;
+  LabelId a_, b_, out_;
+  Dfa dfa_ = Dfa::FromNfa(Nfa::FromRegex(Regex::Epsilon()));
+  std::map<std::string, VertexId> ids_;
+};
+
+TEST_F(WidestFirstTest, SPathEmitsOneResultWithTheLargerExpiry) {
+  SPathOp op(dfa_, out_);
+  CollectOp sink;
+  OutputChannel op_wire(&sink, 0);
+  op.BindOutput(&op_wire);
+  for (const Sgt& t : Stream()) op.OnTuple(0, t);
+
+  const std::vector<Sgt> results = XToV(sink.tuples);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].validity, Interval(10, 40));
+  ASSERT_FALSE(results[0].payload.empty());
+  EXPECT_EQ(results[0].payload.back(), EdgeRef(Id("r"), Id("v"), b_));
+}
+
+TEST_F(WidestFirstTest, DeltaTreeHangsVOffTheLongerLivedDerivation) {
+  DeltaPathOp op(dfa_, out_);
+  CollectOp sink;
+  OutputChannel op_wire(&sink, 0);
+  op.BindOutput(&op_wire);
+  Timestamp last = 0;
+  for (const Sgt& t : Stream()) {
+    for (Timestamp now = last + 1; now <= t.validity.ts; ++now) {
+      op.OnTimeAdvance(now);
+    }
+    last = t.validity.ts;
+    op.OnTuple(0, t);
+  }
+
+  std::vector<Sgt> results = XToV(sink.tuples);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].validity, Interval(10, 40));
+  ASSERT_FALSE(results[0].payload.empty());
+  EXPECT_EQ(results[0].payload.back(), EdgeRef(Id("r"), Id("v"), b_));
+
+  // Nothing in T_x expires at the short path's expiry 20, so no
+  // re-derivation runs there (a v derived through q would be re-derived
+  // through r at t=20 and emitted a second time).
+  const std::size_t rounds = op.rederivation_rounds();
+  for (Timestamp now = last + 1; now < 40; ++now) op.OnTimeAdvance(now);
+  EXPECT_EQ(op.rederivation_rounds(), rounds);
+  EXPECT_EQ(XToV(sink.tuples).size(), 1u);
+  // At 40 v's derivation ends and the Δ-tree re-derives (finding none).
+  op.OnTimeAdvance(40);
+  EXPECT_GT(op.rederivation_rounds(), rounds);
+  EXPECT_TRUE(PairsAt(sink.tuples, 40).count({Id("x"), Id("v")}) == 0);
 }
 
 // ---------------------------------------------------------------------------
